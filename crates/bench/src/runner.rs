@@ -503,7 +503,7 @@ impl ExperimentRunner {
 
     /// Runs the at-load serving sweep: for every `offered QPS × policy ×
     /// replicas` cell, replays a seeded Poisson arrival stream open-loop
-    /// against a pool of replica shards (see [`centaur_serve::serve_replay`])
+    /// against a pool of replica shards (see [`centaur_serve::serve_replay_with`])
     /// and digests per-request end-to-end latency. `duration_s` sets the
     /// offered window per cell (the query count scales with the offered
     /// load, clamped to `[64, max_queries]`).

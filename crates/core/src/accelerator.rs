@@ -6,10 +6,9 @@ use crate::dense::{DenseAccelerator, DenseStageTiming};
 use crate::sparse::{EbStreamer, SparseStageTiming};
 use centaur_dlrm::trace::InferenceTrace;
 use centaur_memsim::Throughput;
-use serde::{Deserialize, Serialize};
 
 /// Top-level configuration of the Centaur system model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CentaurConfig {
     /// The CPU↔FPGA interconnect.
     pub link: ChipletLinkConfig,
@@ -44,7 +43,7 @@ impl Default for CentaurConfig {
 }
 
 /// Latency split of one Centaur inference, matching Figure 14's categories.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CentaurBreakdown {
     /// CPU→FPGA sparse-index fetch (IDX), in ns.
     pub index_fetch_ns: f64,
@@ -88,7 +87,7 @@ impl CentaurBreakdown {
 }
 
 /// Result of one simulated Centaur batched inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CentaurInferenceResult {
     /// Batch size of the request.
     pub batch: usize,

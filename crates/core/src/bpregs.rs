@@ -7,10 +7,9 @@
 //! registers; the FPGA-side IOMMU translates them on access.
 
 use crate::error::CentaurError;
-use serde::{Deserialize, Serialize};
 
 /// Which base pointer an MMIO write targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BasePointer {
     /// The sparse index array (row IDs to gather).
     SparseIndexArray,
@@ -25,7 +24,7 @@ pub enum BasePointer {
 }
 
 /// The base-pointer register file of the sparse accelerator complex.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BasePointerRegs {
     sparse_index_array: Option<u64>,
     embedding_tables: Vec<Option<u64>>,

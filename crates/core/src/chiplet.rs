@@ -9,10 +9,8 @@
 //! which provisions bandwidth commensurate with the DRAM peak — used by the
 //! forward-looking ablation benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Which path FPGA-originated memory requests take to DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LinkPath {
     /// Through the CPU cache hierarchy over the coherent links (HARPv2's
     /// only option, and Centaur's default).
@@ -24,7 +22,7 @@ pub enum LinkPath {
 }
 
 /// Static description of the CPU↔FPGA communication fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipletLinkConfig {
     /// Number of PCIe links between the chiplets.
     pub pcie_links: usize,
@@ -134,7 +132,7 @@ impl Default for ChipletLinkConfig {
 
 /// Byte counters for traffic that crossed the link (used for reporting and
 /// for the energy model's data-movement accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTraffic {
     /// Bytes moved from CPU memory to the FPGA.
     pub cpu_to_fpga_bytes: u64,

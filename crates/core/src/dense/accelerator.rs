@@ -11,10 +11,9 @@ use centaur_dlrm::config::ModelConfig;
 use centaur_dlrm::kernel::{global_backend, grow, KernelBackend, Workspace};
 use centaur_dlrm::model::DlrmModel;
 use centaur_dlrm::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Timing of the dense stage of one batched request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DenseStageTiming {
     /// Bottom-MLP execution time, in ns.
     pub bottom_mlp_ns: f64,

@@ -5,10 +5,9 @@
 use crate::dense::pe::{PeConfig, ProcessingEngine};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::{DlrmError, FeatureInteraction};
-use serde::{Deserialize, Serialize};
 
 /// The feature-interaction unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureInteractionUnit {
     num_pes: usize,
     pe: ProcessingEngine,

@@ -7,10 +7,9 @@
 
 use crate::dense::pe::{PeConfig, ProcessingEngine};
 use centaur_dlrm::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The spatial PE array executing GEMMs for the MLP layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpUnit {
     rows: usize,
     cols: usize,

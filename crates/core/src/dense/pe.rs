@@ -2,10 +2,9 @@
 //! matrix-multiply IP core, configured for 32×32 tile GEMMs (Section IV-D).
 
 use centaur_dlrm::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a PE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeConfig {
     /// Square tile dimension the `FP_MATRIX_MULT` core is configured for.
     pub tile_dim: usize,
@@ -64,7 +63,7 @@ impl Default for PeConfig {
 }
 
 /// One processing engine: functional tile GEMM plus cycle accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingEngine {
     config: PeConfig,
     tiles_executed: u64,

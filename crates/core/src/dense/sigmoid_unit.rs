@@ -3,10 +3,9 @@
 //! logic — never a performance factor, but part of the functional datapath.
 
 use centaur_dlrm::tensor::sigmoid_scalar;
-use serde::{Deserialize, Serialize};
 
 /// The sigmoid unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmoidUnit {
     pipeline_cycles: u32,
     clock_mhz: f64,

@@ -3,10 +3,9 @@
 //! and the top-MLP input buffer (`SRAM_MLPinput`) from Figure 9.
 
 use crate::error::CentaurError;
-use serde::{Deserialize, Serialize};
 
 /// A capacity-checked on-chip buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SramBuffer {
     name: &'static str,
     capacity_bytes: u64,

@@ -2,10 +2,8 @@
 //! paper): ALMs, block-memory bits, RAM blocks, DSPs and PLLs of the Altera
 //! Arria 10 GX1150, and how the Centaur design's modules consume them.
 
-use serde::{Deserialize, Serialize};
-
 /// A bundle of FPGA resources (capacities or usages).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FpgaResources {
     /// Adaptive logic modules (combinational logic + registers).
     pub alms: u64,
@@ -84,7 +82,7 @@ impl FpgaResources {
 }
 
 /// Per-resource utilization fractions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceUtilization {
     /// ALM utilization (0–1).
     pub alms: f64,
@@ -99,7 +97,7 @@ pub struct ResourceUtilization {
 }
 
 /// Which half of the hybrid accelerator a module belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComplexKind {
     /// The sparse accelerator complex (EB-Streamer).
     Sparse,
@@ -110,7 +108,7 @@ pub enum ComplexKind {
 }
 
 /// Resource usage of one sub-module (one row of Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModuleUsage {
     /// Module name as used in Table III.
     pub name: &'static str,
@@ -207,7 +205,7 @@ pub fn centaur_modules() -> Vec<ModuleUsage> {
 
 /// Aggregated view over [`centaur_modules`] used to regenerate Tables II
 /// and III.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceReport {
     /// Per-module usages.
     pub modules: Vec<ModuleUsage>,

@@ -2,10 +2,9 @@
 //! that turns sparse index IDs into CPU→FPGA read requests (Figure 10).
 
 use centaur_dlrm::trace::{EmbeddingAccess, TableLayout};
-use serde::{Deserialize, Serialize};
 
 /// One CPU→FPGA embedding read generated by the gather unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GatherRequest {
     /// Physical byte address of the embedding row.
     pub address: u64,
@@ -27,7 +26,7 @@ impl GatherRequest {
 /// The unit is almost pure combinational logic in the real design (base +
 /// index × row-stride); here it is a deterministic function from index IDs
 /// to [`GatherRequest`]s plus issue counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EmbeddingGatherUnit {
     requests_generated: u64,
     bytes_requested: u64,

@@ -8,10 +8,9 @@
 //! double-buffering the SRAM.
 
 use crate::error::CentaurError;
-use serde::{Deserialize, Serialize};
 
 /// The sparse-index SRAM buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseIndexSram {
     capacity_indices: usize,
     contents: Vec<u32>,

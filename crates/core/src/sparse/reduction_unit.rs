@@ -4,10 +4,9 @@
 
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::ReductionOp;
-use serde::{Deserialize, Serialize};
 
 /// The EB-RU: `num_alus` scalar adders running at the FPGA clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingReductionUnit {
     num_alus: usize,
     clock_mhz: f64,

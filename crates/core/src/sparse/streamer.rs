@@ -13,10 +13,9 @@ use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
 use centaur_dlrm::{EmbeddingBag, EmbeddingTable, ReductionOp};
 use centaur_memsim::Throughput;
-use serde::{Deserialize, Serialize};
 
 /// Timing of the sparse stage of one batched request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseStageTiming {
     /// CPU→FPGA sparse-index fetch time (the `IDX` component of Figure 14),
     /// in ns.

@@ -2,7 +2,6 @@
 //! E5-2680v4 socket with four DDR4 channels).
 
 use centaur_memsim::{DramConfig, HierarchyConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the CPU-only system model.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///   small batch sizes exactly as the paper observes;
 /// * **profiling constants** — retired-instruction estimates used to convert
 ///   simulated misses into MPKI (Figure 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfig {
     /// Human-readable name of the modelled part.
     pub name: String,

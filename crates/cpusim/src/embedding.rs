@@ -13,11 +13,10 @@
 use crate::config::CpuConfig;
 use centaur_dlrm::trace::{InferenceTrace, TableLayout};
 use centaur_memsim::{lines_spanned, CacheHierarchy, DramModel, HierarchyStats, Throughput};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Result of simulating the embedding stage of one batched request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmbeddingResult {
     /// End-to-end latency of the embedding stage in nanoseconds.
     pub latency_ns: f64,

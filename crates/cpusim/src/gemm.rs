@@ -10,11 +10,10 @@ use crate::config::CpuConfig;
 use centaur_dlrm::config::ModelConfig;
 use centaur_dlrm::kernel::{self, KernelBackend};
 use centaur_dlrm::tensor::gemm_flops;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Result of simulating the dense (MLP + feature interaction) stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DenseResult {
     /// Latency of the dense stage in nanoseconds.
     pub latency_ns: f64,

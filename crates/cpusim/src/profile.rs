@@ -8,11 +8,10 @@ use centaur_memsim::{
     lines_spanned, AccessKind, CacheHierarchy, HierarchyStats, SetAssociativeCache,
     CACHE_LINE_BYTES,
 };
-use serde::{Deserialize, Serialize};
 
 /// Cache statistics of one layer type (embedding or MLP), in the form the
 /// paper reports them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerProfile {
     /// Last-level-cache miss rate in `[0, 1]`.
     pub llc_miss_rate: f64,
@@ -25,7 +24,7 @@ pub struct LayerProfile {
 }
 
 /// Combined embedding/MLP cache profile of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheProfile {
     /// Embedding-layer profile.
     pub embedding: LayerProfile,

@@ -5,11 +5,10 @@ use crate::embedding::{EmbeddingEngine, EmbeddingResult};
 use crate::gemm::{DenseEngine, DenseResult};
 use centaur_dlrm::trace::InferenceTrace;
 use centaur_memsim::{CacheHierarchy, DramModel, Throughput};
-use serde::{Deserialize, Serialize};
 
 /// End-to-end latency split of a CPU-only inference, matching the Figure 5
 /// breakdown (EMB / MLP / Other).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// Embedding gather + reduction time in nanoseconds.
     pub embedding_ns: f64,
@@ -54,7 +53,7 @@ impl LatencyBreakdown {
 }
 
 /// Result of one simulated CPU-only batched inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuInferenceResult {
     /// Batch size of the request.
     pub batch: usize,

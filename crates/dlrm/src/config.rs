@@ -4,7 +4,6 @@
 use crate::error::DlrmError;
 use crate::interaction::FeatureInteraction;
 use crate::EMBEDDING_ELEM_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// Full architectural description of a DLRM-style recommendation model.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// [`crate::model::DlrmModel::random`] to instantiate parameters, or feed the
 /// configuration directly to the timing simulators (which never need real
 /// weights).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"DLRM(3)"`.
     pub name: String,
@@ -324,7 +323,7 @@ impl ModelConfigBuilder {
 /// embeddings); MLP layer widths are chosen to land close to the paper's
 /// reported MLP footprints (57.4 KB for DLRM(1)–(5), 557 KB for DLRM(6)) —
 /// see `EXPERIMENTS.md` for the exact derived sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PaperModel {
     /// DLRM(1): 5 tables, 20 gathers/table, 128 MB of embeddings.
     Dlrm1,

@@ -8,10 +8,9 @@
 
 use crate::config::ModelConfig;
 use crate::EMBEDDING_ELEM_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// A single embedding gather: one row of one table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EmbeddingAccess {
     /// Which embedding table is read.
     pub table: usize,
@@ -21,7 +20,7 @@ pub struct EmbeddingAccess {
 
 /// All embedding gathers of one inference request (one sample), grouped per
 /// table in lookup order.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SampleTrace {
     /// `rows_per_table[t]` lists the rows gathered from table `t`.
     pub rows_per_table: Vec<Vec<u64>>,
@@ -52,7 +51,7 @@ impl SampleTrace {
 }
 
 /// The embedding gathers of a whole batch of requests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherTrace {
     /// Embedding dimension (row width in elements).
     pub embedding_dim: usize,
@@ -104,7 +103,7 @@ impl GatherTrace {
 
 /// Layout of the embedding tables in the (simulated) host physical address
 /// space: each table occupies a contiguous region starting at `base`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableLayout {
     base: u64,
     row_bytes: u64,
@@ -191,7 +190,7 @@ impl TableLayout {
 
 /// Everything a timing simulator needs to know about one batched inference
 /// request: the model, the batch size and the gather trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceTrace {
     /// The model configuration the request targets.
     pub config: ModelConfig,

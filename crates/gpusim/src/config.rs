@@ -1,10 +1,8 @@
 //! GPU device and PCIe interconnect configuration for the CPU-GPU baseline
 //! (the paper evaluates an NVIDIA DGX-1 V100 attached over PCIe).
 
-use serde::{Deserialize, Serialize};
-
 /// PCIe link model: fixed software/DMA latency plus a bandwidth term.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieConfig {
     /// Effective host→device bandwidth in GB/s (PCIe 3.0 x16 sustains
     /// ~12 GB/s of its 16 GB/s peak).
@@ -29,7 +27,7 @@ impl PcieConfig {
 }
 
 /// GPU compute model for the dense layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Human-readable device name.
     pub name: String,

@@ -7,10 +7,9 @@ use crate::config::GpuConfig;
 use centaur_cpusim::{CpuConfig, CpuSystem, EmbeddingResult};
 use centaur_dlrm::config::ModelConfig;
 use centaur_dlrm::trace::InferenceTrace;
-use serde::{Deserialize, Serialize};
 
 /// Latency split of a CPU-GPU inference.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpuGpuBreakdown {
     /// CPU-side embedding gathers + reductions, in ns.
     pub embedding_ns: f64,
@@ -31,7 +30,7 @@ impl CpuGpuBreakdown {
 }
 
 /// Result of one simulated CPU-GPU batched inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuGpuInferenceResult {
     /// Batch size of the request.
     pub batch: usize,

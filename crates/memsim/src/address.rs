@@ -6,10 +6,9 @@
 //! controllers at a first approximation.
 
 use crate::CACHE_LINE_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// Where a physical address lands in the DRAM organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramLocation {
     /// Memory channel index.
     pub channel: usize,
@@ -24,7 +23,7 @@ pub struct DramLocation {
 }
 
 /// Address-mapping configuration: the DRAM organization geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddressMapping {
     /// Number of memory channels.
     pub channels: usize,

@@ -1,7 +1,6 @@
 //! A single level of set-associative cache with LRU replacement.
 
 use crate::{line_address, CACHE_LINE_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Whether an access reads or writes (writes allocate, like real write-back
 /// write-allocate caches).
@@ -15,7 +14,7 @@ pub enum AccessKind {
 }
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -57,7 +56,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss statistics of one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses (reads + writes).
     pub accesses: u64,

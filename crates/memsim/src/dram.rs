@@ -10,10 +10,9 @@
 
 use crate::address::AddressMapping;
 use crate::CACHE_LINE_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// DRAM timing and organization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Address mapping / geometry.
     pub mapping: AddressMapping,
@@ -63,7 +62,7 @@ impl Default for DramConfig {
 }
 
 /// Counters accumulated by the DRAM model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramStats {
     /// Total line requests serviced.
     pub requests: u64,

@@ -6,7 +6,6 @@
 //! which accesses reach DRAM in the timing models.
 
 use crate::cache::{AccessKind, CacheConfig, CacheStats, SetAssociativeCache};
-use serde::{Deserialize, Serialize};
 
 /// Which level of the memory hierarchy serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,7 +28,7 @@ impl MemoryLevel {
 }
 
 /// Geometry and latency of the three cache levels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1: CacheConfig,
@@ -67,7 +66,7 @@ impl Default for HierarchyConfig {
 }
 
 /// Per-level statistics snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// L1 statistics.
     pub l1: CacheStats,

@@ -1,12 +1,10 @@
 //! Small shared measurement helpers (throughput accounting).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes moved over a time window, with convenience conversions.
 ///
 /// The paper's *effective throughput* metric is exactly this: useful bytes
 /// gathered divided by the latency of the embedding stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Throughput {
     /// Useful bytes transferred.
     pub bytes: u64,

@@ -13,10 +13,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use serde::{Deserialize, Serialize};
-
 /// The three system design points the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SystemKind {
     /// The CPU-only baseline (Broadwell Xeon socket).
     CpuOnly,
@@ -49,7 +47,7 @@ impl std::fmt::Display for SystemKind {
 }
 
 /// Average power draw of one system while serving recommendation inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Which system this describes.
     pub system: SystemKind,
@@ -115,7 +113,7 @@ impl PowerModel {
 }
 
 /// One system's measured latency combined with its power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Which system.
     pub system: SystemKind,

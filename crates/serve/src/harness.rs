@@ -3,13 +3,14 @@
 //! [`ArrivalQueue`], and the recorded per-request completions are digested
 //! into tail-latency and goodput-under-SLO reports.
 
-use crate::fault::{FaultGuard, FaultPlan, FaultSpec};
+use crate::fault::{FaultPlan, FaultSpec};
 use crate::policy::BatchPolicy;
 use crate::queue::{AdmissionConfig, ArrivalQueue, DequeueOrder, QueuedRequest};
 use crate::server::{BatchServer, SoloServer};
 use crate::stage::ReplicaStage;
 use crate::supervisor::{
-    supervise_replica, watchdog_monitor, HealthBoard, InFlightSlot, Supervision, SupervisorShared,
+    supervise_replica, watchdog_monitor, HealthBoard, InFlightSlot, Overdue, Supervision,
+    SupervisorShared,
 };
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
 use centaur_dlrm::config::ModelConfig;
@@ -17,7 +18,6 @@ use centaur_dlrm::{DlrmModel, InferenceRequest, InferenceResponse, RejectReason,
 use centaur_workload::{
     IndexDistribution, LatencySummary, QueryStream, RequestGenerator, TrafficShape,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -216,10 +216,6 @@ impl ServeOptions {
     }
 }
 
-/// What one replica worker hands back: its completions and batch count, or
-/// the datapath error that stopped it — wrapped in the panic-guard's result.
-pub(crate) type WorkerResult = std::thread::Result<Result<(Vec<Completion>, usize), CentaurError>>;
-
 /// Everything recorded by one serving run.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
@@ -259,6 +255,45 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
+    /// A finished run's outcome: completions, batches, restarts and lost
+    /// replicas from the pool state; flow-control, retry and hedge counters
+    /// and the per-request refusals from the queue; quarantine counts from
+    /// the health board.
+    fn assemble(
+        pool: SupervisorShared,
+        pool_size: usize,
+        queue: &ArrivalQueue,
+        health: &HealthBoard,
+        requests: &[InferenceRequest],
+        slo_s: f64,
+    ) -> Self {
+        ServeOutcome {
+            completions: pool.completions.into_inner().expect("completions poisoned"),
+            batches: pool.batches.into_inner(),
+            slo_s,
+            shed_admission: queue.shed_admission(),
+            shed_expired: queue.shed_expired(),
+            failed: queue.failed(),
+            retries: queue.retries(),
+            restarts: pool.restarts.into_inner(),
+            replicas_lost: pool_size - pool.live.into_inner(),
+            hedges: queue.hedges(),
+            hedge_wins: queue.hedge_wins(),
+            duplicates_suppressed: queue.duplicates_suppressed(),
+            quarantines: health.quarantines(),
+            readmissions: health.readmissions(),
+            rejections: queue
+                .take_shed()
+                .into_iter()
+                .map(|(shed, reason)| RejectedRequest {
+                    id: requests[shed.index].id,
+                    reason,
+                    retries: shed.retries,
+                })
+                .collect(),
+        }
+    }
+
     /// Tail-latency digest of the recorded completions.
     pub fn latency_summary(&self) -> Option<LatencySummary> {
         let latencies: Vec<f64> = self.completions.iter().map(Completion::latency_s).collect();
@@ -380,26 +415,11 @@ pub fn generate_requests(
         .collect()
 }
 
-/// Replays `stream` open-loop against a pool of replica shards with the
-/// default (fully permissive) [`ServeOptions`] — see [`serve_replay_with`].
-///
-/// # Errors
-///
-/// See [`serve_replay_with`].
-pub fn serve_replay(
-    replicas: Vec<CentaurRuntime>,
-    requests: &[InferenceRequest],
-    stream: &QueryStream,
-    policy: BatchPolicy,
-) -> Result<ServeOutcome, CentaurError> {
-    serve_replay_with(replicas, requests, stream, policy, ServeOptions::default())
-}
-
-/// Replays `stream` open-loop against a pool of replica shards: the calling
-/// thread becomes the load generator (sleeping until each scheduled arrival
-/// and enqueueing the matching request), while one worker thread per replica
-/// coalesces queued requests into batches per `policy` and serves them
-/// through the accelerator's batched path.
+/// Replays `stream` open-loop against a pool of replica shards: a generator
+/// thread sleeps until each scheduled arrival and enqueues the matching
+/// request, while one worker thread per replica coalesces queued requests
+/// into batches per `policy` and serves them through the accelerator's
+/// batched path.
 ///
 /// Latencies are measured against the *scheduled* arrival times, so a
 /// generator running late inflates latency instead of thinning the offered
@@ -416,7 +436,9 @@ pub fn serve_replay(
 /// experiment promptly: the queue closes, the generator stops replaying the
 /// remaining schedule, and the failure — a panic's original payload
 /// included — is surfaced as soon as the workers unwind, not after the
-/// full arrival schedule has played out. Set
+/// full arrival schedule has played out. With an SLO set, a batch held past
+/// twice the SLO (at least 250 ms) aborts the run the same way, with a
+/// [`CentaurError::ReplicaStalled`] diagnostic naming the replica. Set
 /// [`ServeOptions::supervision`] to trade that fail-stop contract for
 /// crash-tolerant supervision (see [`serve_replay_faulted`]).
 ///
@@ -424,7 +446,7 @@ pub fn serve_replay(
 ///
 /// Returns an error when `requests` and `stream` disagree in length, the
 /// replica pool is empty, a request's shape does not match the replicas'
-/// model, or the accelerator datapath fails mid-run.
+/// model, a replica stalls, or the accelerator datapath fails mid-run.
 ///
 /// # Panics
 ///
@@ -492,46 +514,11 @@ pub fn serve_replay_faulted(
     for request in requests {
         request.check_shape(&model_config)?;
     }
-
-    let queue = ArrivalQueue::with_config(options.admission());
-    // Worst case every request is shed: pre-grow the log so the shedding
-    // path stays allocation-free in steady state.
-    queue.reserve_shed(requests.len());
-    let slo_s = options.slo_s();
-    let abort = AtomicBool::new(false);
-    let mut outcome = match options.supervision {
-        None => serve_unsupervised(
-            replicas, requests, stream, policy, &queue, slo_s, &abort, plan,
-        )?,
-        Some(supervision) => serve_supervised(
-            replicas,
-            requests,
-            stream,
-            policy,
-            &queue,
-            options,
-            &abort,
-            plan,
-            supervision,
-        ),
-    };
-    outcome.failed = queue.failed();
-    outcome.retries = queue.retries();
-    outcome.shed_admission = queue.shed_admission();
-    outcome.shed_expired = queue.shed_expired();
-    outcome.hedges = queue.hedges();
-    outcome.hedge_wins = queue.hedge_wins();
-    outcome.duplicates_suppressed = queue.duplicates_suppressed();
-    outcome.rejections = queue
-        .take_shed()
+    let servers = replicas
         .into_iter()
-        .map(|(shed, reason)| RejectedRequest {
-            id: requests[shed.index].id,
-            reason,
-            retries: shed.retries,
-        })
+        .map(|runtime| SoloServer::new(runtime, requests, policy.max_batch()))
         .collect();
-    Ok(outcome)
+    run_pool(servers, requests, &[(stream, 0)], policy, options, plan)
 }
 
 /// The open-loop load generator: release each query at its scheduled offset
@@ -544,7 +531,7 @@ pub fn serve_replay_faulted(
 /// and the queue closes only when the *last* generator finishes —
 /// `generators_left` counts down across them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_arrivals(
+fn replay_arrivals(
     queue: &ArrivalQueue,
     stream: &QueryStream,
     slo_s: f64,
@@ -582,106 +569,6 @@ pub(crate) fn replay_arrivals(
     }
 }
 
-/// The fail-stop serving path (pre-supervision contract): one guarded
-/// worker per replica; any panic or datapath error aborts the run. With a
-/// finite SLO, a stall monitor watches every worker's in-flight slot and
-/// aborts the replay once any batch has been held past twice the SLO — the
-/// fail-stop answer to a stalled replica (a diagnostic naming the replica,
-/// not a hang until generator close).
-#[allow(clippy::too_many_arguments)]
-fn serve_unsupervised(
-    mut replicas: Vec<CentaurRuntime>,
-    requests: &[InferenceRequest],
-    stream: &QueryStream,
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-) -> Result<ServeOutcome, CentaurError> {
-    let mut worker_results: Vec<WorkerResult> = Vec::new();
-    let pool_size = replicas.len();
-    let slots: Vec<InFlightSlot> = (0..pool_size)
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    let stalled: Mutex<Option<(usize, u64)>> = Mutex::new(None);
-    // Align the deadline clock with the replay start (setup between queue
-    // construction and here must not eat into the schedule).
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let slots = &slots;
-        let stalled = &stalled;
-        let handles: Vec<_> = replicas
-            .drain(..)
-            .enumerate()
-            .map(|(index, runtime)| {
-                let server = SoloServer::new(runtime, requests, policy.max_batch());
-                let guard = plan.guard_for(index);
-                scope.spawn(move || {
-                    guard_worker(queue, abort, move || {
-                        worker_loop(queue, server, policy, start, guard, &slots[index], index)
-                    })
-                })
-            })
-            .collect();
-        if slo_s.is_finite() {
-            let deadline_s = (slo_s * 2.0).max(STALL_ABORT_FLOOR_S);
-            scope.spawn(move || {
-                stall_abort_monitor(queue, slots, deadline_s, start, abort, stalled);
-            });
-        }
-
-        let generators = AtomicUsize::new(1);
-        replay_arrivals(queue, stream, slo_s, abort, start, 0, &generators);
-
-        // The guard already catches panics inside the worker body, so the
-        // thread result and the guard result collapse into one layer.
-        worker_results = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect();
-    });
-    let mut outcome = ServeOutcome {
-        completions: Vec::with_capacity(requests.len()),
-        batches: 0,
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: 0,
-        replicas_lost: 0,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: 0,
-        readmissions: 0,
-        rejections: Vec::new(),
-    };
-    let mut failure: Option<CentaurError> = None;
-    for result in worker_results {
-        match result {
-            // A panicking worker takes precedence: re-raise its payload.
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Ok((completions, batches))) => {
-                outcome.completions.extend(completions);
-                outcome.batches += batches;
-            }
-            Ok(Err(error)) => failure = failure.or(Some(error)),
-        }
-    }
-    // A stall abort outranks the secondary errors it caused downstream
-    // (workers unwound by the abort-close), but never a real panic above.
-    if let Some((replica, held_ms)) = *stalled.lock().expect("stall diagnostic poisoned") {
-        return Err(CentaurError::ReplicaStalled { replica, held_ms });
-    }
-    if let Some(error) = failure {
-        return Err(error);
-    }
-    Ok(outcome)
-}
-
 /// Floor for the fail-stop stall-abort deadline. A saturated host can
 /// deschedule a worker for tens of milliseconds mid-batch (observed ~40 ms
 /// in the overload sweep at 2× capacity), which is indistinguishable from a
@@ -689,70 +576,51 @@ fn serve_unsupervised(
 /// the hold dwarfs any plausible preemption, not at a bare `2 × SLO`.
 const STALL_ABORT_FLOOR_S: f64 = 0.25;
 
-/// The fail-stop stall watchdog: polls every worker's in-flight slot and,
-/// when any published batch has been held past `deadline_s` (twice the
-/// SLO, floored at [`STALL_ABORT_FLOOR_S`]), records the straggler's
-/// identity and abort-closes the queue so the generator and the healthy
-/// siblings stop promptly. The stalled worker itself is left to wake and
-/// observe the abort — the replay is over either way.
-fn stall_abort_monitor(
-    queue: &ArrivalQueue,
-    slots: &[InFlightSlot],
-    deadline_s: f64,
-    start: Instant,
-    abort: &AtomicBool,
-    stalled: &Mutex<Option<(usize, u64)>>,
-) {
-    let tick = Duration::from_secs_f64((deadline_s / 4.0).clamp(100e-6, 50e-3));
-    while !queue.is_aborted() && !queue.is_finished() {
-        std::thread::sleep(tick);
-        let now_s = start.elapsed().as_secs_f64();
-        for (replica, slot) in slots.iter().enumerate() {
-            let Some((dispatched_s, _)) = slot.probe() else {
-                continue;
-            };
-            let held_s = now_s - dispatched_s;
-            if held_s <= deadline_s {
-                continue;
-            }
-            *stalled.lock().expect("stall diagnostic poisoned") =
-                Some((replica, (held_s * 1e3) as u64));
-            abort.store(true, Ordering::Relaxed);
-            queue.close_abort();
-            return;
-        }
-    }
-}
-
-/// The supervised serving path: one supervisor per replica recovers crashed
-/// workers' in-flight batches, restarts replicas against the pool-wide
-/// budget, and lets survivors absorb the load. With
-/// [`ServeOptions::hedge`] set, a watchdog monitor additionally hedges
-/// overdue batches to healthy siblings and quarantines persistent
-/// stragglers. Panics only on the unrecoverable path, re-raising the first
-/// crash's preserved payload.
-#[allow(clippy::too_many_arguments)]
-fn serve_supervised<'a>(
-    mut replicas: Vec<CentaurRuntime>,
-    requests: &'a [InferenceRequest],
-    stream: &QueryStream,
+/// The one replica-pool runner behind every serving entry point: one
+/// worker thread per server, one open-loop generator thread per
+/// `(stream, index offset)` in `generators` (a solo run has one, a shared
+/// multi-tenant pool one per tenant), and a watchdog thread when `options`
+/// arm one.
+///
+/// `options.supervision` picks the failure policy. A supervised pool
+/// recovers crashed workers' batches and restarts replicas from a clone of
+/// the pristine first server; with [`ServeOptions::hedge`] the watchdog
+/// hedges overdue batches and the health board quarantines stragglers. A
+/// fail-stop pool runs the same loop with no budgets: the first crash or
+/// datapath error aborts the run, and with a finite SLO the watchdog aborts
+/// it on a batch held past twice the SLO (floored at
+/// [`STALL_ABORT_FLOOR_S`]).
+///
+/// # Errors
+///
+/// Returns the cause of a fail-stop abort: a stall diagnostic, else the
+/// first datapath error.
+///
+/// # Panics
+///
+/// Re-raises the first crash's payload when the run aborted.
+pub(crate) fn run_pool<S: BatchServer + Clone + Send>(
+    servers: Vec<S>,
+    requests: &[InferenceRequest],
+    generators: &[(&QueryStream, usize)],
     policy: BatchPolicy,
-    queue: &ArrivalQueue,
     options: ServeOptions,
-    abort: &AtomicBool,
     plan: &FaultPlan,
-    supervision: Supervision,
-) -> ServeOutcome {
-    let slo_s = options.slo_s();
-    let pool_size = replicas.len();
+) -> Result<ServeOutcome, CentaurError> {
+    let pool_size = servers.len();
+    let queue = ArrivalQueue::with_config(options.admission());
+    // Worst case every request is shed: pre-grow the log so the shedding
+    // path stays allocation-free in steady state.
+    queue.reserve_shed(requests.len());
     let shared = SupervisorShared::new(pool_size, requests.len());
     let slots: Vec<InFlightSlot> = (0..pool_size)
         .map(|_| InFlightSlot::new(policy.max_batch()))
         .collect();
+    let slo_s = options.slo_s();
     // Without hedging the board is disabled — it never strikes, never
-    // quarantines — so the hedge-free paths stay byte-for-byte the PR 7
-    // behaviour.
-    let health = match options.hedge {
+    // quarantines.
+    let hedge = options.hedge.filter(|_| options.supervision.is_some());
+    let health = match hedge {
         Some(hedge) => HealthBoard::new(
             pool_size,
             hedge.timeout.as_secs_f64(),
@@ -761,34 +629,40 @@ fn serve_supervised<'a>(
         ),
         None => HealthBoard::disabled(pool_size),
     };
-    // Restarts boot from a fresh shard clone, never from state a panic
-    // unwound through.
-    let template = Mutex::new(replicas[0].clone());
-    let max_batch = policy.max_batch();
-    let respawn = {
-        let template = &template;
-        move || {
-            SoloServer::new(
-                template.lock().expect("template poisoned").clone(),
-                requests,
-                max_batch,
-            )
-        }
+    let watchdog = match hedge {
+        Some(hedge) => Some((Overdue::Hedge(&health), hedge.timeout.as_secs_f64())),
+        None if options.supervision.is_none() && slo_s.is_finite() => Some((
+            Overdue::Abort(&shared),
+            (slo_s * 2.0).max(STALL_ABORT_FLOOR_S),
+        )),
+        None => None,
     };
-    // The template clone above is proportional to model size (hundreds of
-    // milliseconds for 64K-row tables) and ran *after* the queue captured
-    // its construction-time clock; restart the deadline clock here so the
-    // replay schedule is measured from when the replay actually begins.
+    // Restarts boot from a clone of the pristine first server, never from
+    // state a panic unwound through. The clone copies every table, so a
+    // pool that can never restart makes none.
+    let template = options
+        .supervision
+        .filter(|supervision| supervision.restart_budget > 0)
+        .map(|_| Mutex::new(servers[0].clone()));
+    let respawn = || {
+        template
+            .as_ref()
+            .expect("restarts need a positive budget")
+            .lock()
+            .expect("template poisoned")
+            .clone()
+    };
+    let generators_left = AtomicUsize::new(generators.len());
+    // The setup above (the template clone scales with the model) must not
+    // eat into the replay schedule: restart the deadline clock now.
     queue.restart_clock();
     std::thread::scope(|scope| {
         let start = queue.start();
-        let shared = &shared;
-        let slots = &slots;
-        let health = &health;
-        let respawn: &(dyn Fn() -> SoloServer<'a> + Sync) = &respawn;
-        for (index, runtime) in replicas.drain(..).enumerate() {
-            let guard = plan.guard_for(index);
-            let server = SoloServer::new(runtime, requests, max_batch);
+        let (queue, shared, slots, health) = (&queue, &shared, &slots, &health);
+        let generators_left = &generators_left;
+        let respawn: &(dyn Fn() -> S + Sync) = &respawn;
+        for (replica, server) in servers.into_iter().enumerate() {
+            let guard = plan.guard_for(replica);
             scope.spawn(move || {
                 supervise_replica(
                     queue,
@@ -796,127 +670,40 @@ fn serve_supervised<'a>(
                     respawn,
                     policy,
                     start,
-                    supervision,
+                    options.supervision,
                     guard,
-                    &slots[index],
+                    &slots[replica],
                     health,
                     shared,
-                    abort,
-                    index,
+                    replica,
                 );
             });
         }
-        if let Some(hedge) = options.hedge {
+        if let Some((action, timeout_s)) = watchdog {
             scope.spawn(move || {
-                watchdog_monitor(
+                watchdog_monitor(queue, slots, action, timeout_s, policy.max_batch(), start);
+            });
+        }
+        for &(stream, offset) in generators {
+            scope.spawn(move || {
+                replay_arrivals(
                     queue,
-                    slots,
-                    health,
-                    true,
-                    hedge.timeout.as_secs_f64(),
-                    max_batch,
+                    stream,
+                    slo_s,
+                    &shared.abort,
                     start,
+                    offset,
+                    generators_left,
                 );
             });
         }
-        let generators = AtomicUsize::new(1);
-        replay_arrivals(queue, stream, slo_s, abort, start, 0, &generators);
     });
-    if queue.is_aborted() {
-        // Unrecoverable: every replica died. Re-raise the first crash.
-        let payload = shared
-            .payload
-            .lock()
-            .expect("payload slot poisoned")
-            .take()
-            .unwrap_or_else(|| Box::new("supervised run aborted without a payload"));
-        std::panic::resume_unwind(payload);
+    if shared.abort.load(Ordering::Relaxed) {
+        return Err(shared.abort_cause());
     }
-    let live = shared.live.load(Ordering::Acquire);
-    let completions =
-        std::mem::take(&mut *shared.completions.lock().expect("completions poisoned"));
-    ServeOutcome {
-        completions,
-        batches: shared.batches.load(Ordering::Relaxed),
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: shared.restarts.load(Ordering::Relaxed),
-        replicas_lost: pool_size - live,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: health.quarantines(),
-        readmissions: health.readmissions(),
-        rejections: Vec::new(),
-    }
-}
-
-/// Runs one worker body under a panic/failure guard: when the body panics
-/// or returns an error, the shared abort flag flips and the queue
-/// abort-closes so the generator and sibling workers stop promptly instead
-/// of playing out the rest of the schedule (a plain close would leave
-/// siblings waiting on the dead worker's in-flight batch forever). The
-/// panic payload (or error) is returned unaltered for the harness to
-/// surface.
-pub(crate) fn guard_worker<F>(queue: &ArrivalQueue, abort: &AtomicBool, body: F) -> WorkerResult
-where
-    F: FnOnce() -> Result<(Vec<Completion>, usize), CentaurError>,
-{
-    let result = catch_unwind(AssertUnwindSafe(body));
-    if !matches!(result, Ok(Ok(_))) {
-        abort.store(true, Ordering::Relaxed);
-        queue.close_abort();
-    }
-    result
-}
-
-/// One replica's serving loop: pop a coalesced batch, publish it in-flight
-/// (dispatch-stamped so the stall monitor can see it), serve it through the
-/// replica's [`BatchServer`] backend, record completions. Runs until the
-/// queue is closed and drained. The fault guard injects this replica's
-/// scheduled faults with fail-stop consequences: a crash event's panic and
-/// a transient event's error both abort the run (the unprotected baseline),
-/// and a degraded event persistently stretches every later batch's service.
-pub(crate) fn worker_loop<S: BatchServer>(
-    queue: &ArrivalQueue,
-    mut server: S,
-    policy: BatchPolicy,
-    start: Instant,
-    mut guard: FaultGuard,
-    inflight: &InFlightSlot,
-    replica: usize,
-) -> Result<(Vec<Completion>, usize), CentaurError> {
-    let mut completions = Vec::new();
-    let mut batches = 0usize;
-    // Reused across iterations: the queue's pop buffer and the probability
-    // scratch — the steady-state loop allocates nothing once these reach
-    // their high-water marks.
-    let mut batch: Vec<QueuedRequest> = Vec::with_capacity(policy.max_batch());
-    let mut probabilities: Vec<f32> = Vec::with_capacity(policy.max_batch());
-    while queue.pop_batch(policy, &mut batch) {
-        let dispatched_s = start.elapsed().as_secs_f64();
-        inflight.publish(&batch, dispatched_s);
-        guard.intercept(replica, dispatched_s)?;
-        server.serve_batch(&batch, &mut probabilities)?;
-        let served_s = start.elapsed().as_secs_f64();
-        guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
-        inflight.clear();
-        let completed_s = start.elapsed().as_secs_f64();
-        batches += 1;
-        for (queued, &probability) in batch.iter().zip(&probabilities) {
-            completions.push(Completion {
-                id: server.request_id(queued.index),
-                arrival_s: queued.arrival_s,
-                completed_s,
-                probability,
-            });
-        }
-        queue.complete(batch.len());
-    }
-    Ok((completions, batches))
+    Ok(ServeOutcome::assemble(
+        shared, pool_size, &queue, &health, requests, slo_s,
+    ))
 }
 
 /// One cell of a serving sweep, digested for reporting.
@@ -981,6 +768,57 @@ pub struct ServeReport {
     pub readmissions: usize,
     /// End-to-end latency digest.
     pub latency: LatencySummary,
+}
+
+impl ServeReport {
+    /// A single-model row (tenant `-`, pool `single`) digesting `outcome`
+    /// under the cell's offered load, traffic shape, policy, replica count
+    /// and fault-plan label; the SLO column and every count and rate come
+    /// from the outcome. Mix rows override the tenant and pool labels and
+    /// the availability.
+    pub(crate) fn from_outcome(
+        outcome: &ServeOutcome,
+        offered_qps: f64,
+        shape: TrafficShape,
+        policy: BatchPolicy,
+        replicas: usize,
+        faults: String,
+    ) -> Self {
+        ServeReport {
+            tenant: "-".to_string(),
+            pool: "single".to_string(),
+            offered_qps,
+            traffic: shape.label().to_string(),
+            policy: policy.label(),
+            replicas,
+            slo_ms: outcome.slo_s.is_finite().then_some(outcome.slo_s * 1e3),
+            completed: outcome.completions.len(),
+            batches: outcome.batches,
+            mean_batch: outcome.mean_batch(),
+            achieved_qps: outcome.achieved_qps(),
+            goodput_qps: outcome.goodput_qps(),
+            shed: outcome.shed(),
+            shed_admission: outcome.shed_admission,
+            shed_expired: outcome.shed_expired,
+            deadline_misses: outcome.deadline_misses(),
+            faults,
+            failed: outcome.failed,
+            availability: outcome.availability(),
+            restarts: outcome.restarts,
+            retries: outcome.retries,
+            replicas_lost: outcome.replicas_lost,
+            hedges: outcome.hedges,
+            hedge_wins: outcome.hedge_wins,
+            duplicates_suppressed: outcome.duplicates_suppressed,
+            quarantines: outcome.quarantines,
+            readmissions: outcome.readmissions,
+            // An overload cell may legitimately shed *everything* (deep
+            // overload, every deadline blown before the workers catch up):
+            // that is a valid measurement — zero completions, zero
+            // goodput, an all-zero latency digest — not an error.
+            latency: outcome.latency_summary().unwrap_or_default(),
+        }
+    }
 }
 
 /// One cell's specification for [`run_serve_cell`]: the offered load, the
@@ -1083,41 +921,14 @@ pub fn run_serve_cell(
             .unwrap_or_else(|| FaultPlan::seeded(cell.faults, cell.replicas, window_s))
     };
     let outcome = serve_replay_faulted(pool, &requests, &stream, cell.policy, cell.options, &plan)?;
-    // An overload cell may legitimately shed *everything* (deep overload,
-    // every deadline blown before the workers catch up): that is a valid
-    // measurement — zero completions, zero goodput, an all-zero latency
-    // digest — not an error.
-    let latency = outcome.latency_summary().unwrap_or_default();
-    Ok(ServeReport {
-        tenant: "-".to_string(),
-        pool: "single".to_string(),
-        offered_qps: cell.offered_qps,
-        traffic: cell.shape.label().to_string(),
-        policy: cell.policy.label(),
-        replicas: cell.replicas,
-        slo_ms: cell.options.slo.map(|slo| slo.as_secs_f64() * 1e3),
-        completed: outcome.completions.len(),
-        batches: outcome.batches,
-        mean_batch: outcome.mean_batch(),
-        achieved_qps: outcome.achieved_qps(),
-        goodput_qps: outcome.goodput_qps(),
-        shed: outcome.shed(),
-        shed_admission: outcome.shed_admission,
-        shed_expired: outcome.shed_expired,
-        deadline_misses: outcome.deadline_misses(),
-        faults: plan.label(),
-        failed: outcome.failed,
-        availability: outcome.availability(),
-        restarts: outcome.restarts,
-        retries: outcome.retries,
-        replicas_lost: outcome.replicas_lost,
-        hedges: outcome.hedges,
-        hedge_wins: outcome.hedge_wins,
-        duplicates_suppressed: outcome.duplicates_suppressed,
-        quarantines: outcome.quarantines,
-        readmissions: outcome.readmissions,
-        latency,
-    })
+    Ok(ServeReport::from_outcome(
+        &outcome,
+        cell.offered_qps,
+        cell.shape,
+        cell.policy,
+        cell.replicas,
+        plan.label(),
+    ))
 }
 
 /// Measures the single-sample service time of `model` on one runtime shard
@@ -1171,7 +982,7 @@ mod tests {
         let requests = generate_requests(&config, IndexDistribution::Uniform, 11, 64);
         let stream = QueryStream::generate(ArrivalProcess::Poisson { rate_qps: 20_000.0 }, 64, 3);
         let pool = CentaurRuntime::replica_pool(model.clone(), CentaurConfig::harpv2(), 2).unwrap();
-        let outcome = serve_replay(
+        let outcome = serve_replay_with(
             pool,
             &requests,
             &stream,
@@ -1179,6 +990,7 @@ mod tests {
                 max_batch: 8,
                 max_wait: Duration::from_micros(200),
             },
+            ServeOptions::default(),
         )
         .unwrap();
 
@@ -1229,8 +1041,11 @@ mod tests {
         let requests = generate_requests(&config, IndexDistribution::Uniform, 1, 4);
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 100.0 }, 5, 1);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
-        assert!(serve_replay(pool, &requests, &stream, BatchPolicy::Fifo).is_err());
-        assert!(serve_replay(Vec::new(), &requests, &stream, BatchPolicy::Fifo).is_err());
+        let options = ServeOptions::default();
+        assert!(serve_replay_with(pool, &requests, &stream, BatchPolicy::Fifo, options).is_err());
+        assert!(
+            serve_replay_with(Vec::new(), &requests, &stream, BatchPolicy::Fifo, options).is_err()
+        );
     }
 
     #[test]
@@ -1287,7 +1102,8 @@ mod tests {
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
         let started = Instant::now();
-        let result = serve_replay(pool, &requests, &stream, BatchPolicy::Fifo);
+        let options = ServeOptions::default();
+        let result = serve_replay_with(pool, &requests, &stream, BatchPolicy::Fifo, options);
         let elapsed = started.elapsed();
         assert!(result.is_err(), "corrupted request must fail the run");
         assert!(
@@ -1296,36 +1112,120 @@ mod tests {
         );
     }
 
+    /// Fail-stop end to end: an injected crash on one replica of two
+    /// re-raises its payload promptly — the surviving replica does not keep
+    /// the 20 s schedule playing, nor wait forever on the dead replica's
+    /// in-flight batch. The run is watched from a second thread so a hung
+    /// run fails the test instead of stalling it.
+    #[test]
+    fn fail_stop_crash_aborts_the_run_with_the_injected_payload() {
+        let model = small_model();
+        let config = model.config().clone();
+        let requests = generate_requests(&config, IndexDistribution::Uniform, 37, 400);
+        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 6);
+        let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
+        let plan = FaultPlan::parse("crash:1:50").unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve_replay_faulted(
+                    pool,
+                    &requests,
+                    &stream,
+                    BatchPolicy::Fifo,
+                    ServeOptions::default(),
+                    &plan,
+                )
+            }));
+            let _ = done.send(result.map(|outcome| outcome.is_ok()));
+        });
+        let result = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the crash must end the run within 5 s of a 20 s schedule");
+        run.join().expect("the run's panic is caught and sent back");
+        let payload = result.expect_err("a fail-stop crash must abort the run");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the injected crash payload survives");
+        assert!(
+            message.starts_with("injected fault: replica 1 crash"),
+            "payload: {message}"
+        );
+    }
+
+    /// A backend whose every batch fails the way `fail` does.
+    struct FailingServer(fn() -> Result<(), CentaurError>);
+
+    impl BatchServer for FailingServer {
+        fn serve_batch(
+            &mut self,
+            _batch: &[QueuedRequest],
+            _out: &mut Vec<f32>,
+        ) -> Result<(), CentaurError> {
+            (self.0)()
+        }
+
+        fn request_id(&self, index: usize) -> u64 {
+            index as u64
+        }
+    }
+
+    /// Runs one fail-stop replica worker (no budgets) on the current thread
+    /// over a queue holding one request, and returns the queue and the pool
+    /// state it left behind.
+    fn fail_stop_worker(
+        fail: fn() -> Result<(), CentaurError>,
+    ) -> (ArrivalQueue, SupervisorShared) {
+        let queue = ArrivalQueue::new();
+        assert!(queue.push(QueuedRequest::new(0, 0.0)));
+        let shared = SupervisorShared::new(1, 1);
+        let respawn = || -> FailingServer { unreachable!("a fail-stop worker never restarts") };
+        supervise_replica(
+            &queue,
+            FailingServer(fail),
+            &respawn,
+            BatchPolicy::Fifo,
+            queue.start(),
+            None,
+            FaultPlan::none().guard_for(0),
+            &InFlightSlot::new(1),
+            &HealthBoard::disabled(1),
+            &shared,
+            0,
+        );
+        (queue, shared)
+    }
+
     #[test]
     fn guarded_worker_preserves_the_panic_payload_and_aborts() {
-        let queue = ArrivalQueue::new();
-        let abort = AtomicBool::new(false);
-        let result = guard_worker(&queue, &abort, || panic!("replica blew up"));
-        let payload = result.expect_err("panic must be caught, not swallowed");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("replica blew up"),
-            "payload survives for resume_unwind"
-        );
-        assert!(abort.load(Ordering::Relaxed), "abort flag flips");
+        let (queue, shared) = fail_stop_worker(|| panic!("replica blew up"));
+        assert!(shared.abort.load(Ordering::Relaxed), "abort flag flips");
         assert!(queue.is_closed(), "queue closes so the generator stops");
         assert!(
             queue.is_aborted(),
             "abort-close so siblings are not left waiting on the dead \
              worker's in-flight batch"
         );
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.abort_cause()))
+                .expect_err("the crash's payload is re-raised, not swallowed");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("replica blew up"),
+            "payload survives for resume_unwind"
+        );
     }
 
     #[test]
     fn guarded_worker_flags_errors_too() {
-        let queue = ArrivalQueue::new();
-        let abort = AtomicBool::new(false);
-        let result = guard_worker(&queue, &abort, || {
-            Err(CentaurError::NotInitialised("synthetic failure"))
-        });
-        assert!(matches!(result, Ok(Err(_))));
-        assert!(abort.load(Ordering::Relaxed));
+        let (queue, shared) =
+            fail_stop_worker(|| Err(CentaurError::NotInitialised("synthetic failure")));
+        assert!(shared.abort.load(Ordering::Relaxed));
         assert!(queue.is_closed());
+        assert!(matches!(
+            shared.abort_cause(),
+            CentaurError::NotInitialised("synthetic failure")
+        ));
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //!   survivors absorb the load; deterministic seeded fault plans inject
 //!   crash/stall/transient events so availability under faults is
 //!   measurable and reproducible;
-//! * [`serve_replay`] — replays a seeded
+//! * [`serve_replay_with`] — replays a seeded
 //!   [`QueryStream`](centaur_workload::QueryStream) against a pool of
 //!   [`CentaurRuntime`](centaur::CentaurRuntime) replica shards (one worker
 //!   thread each), recording per-request end-to-end latency against
-//!   *scheduled* arrivals (open-loop);
+//!   *scheduled* arrivals (open-loop); [`serve_replay_faulted`] adds
+//!   seeded fault injection, and both run on the same pool runner as the
+//!   shared multi-tenant pool of [`run_mix_cell`];
 //! * [`run_serve_cell`] / [`calibrate_fifo_capacity_qps`] — one sweep cell
 //!   (offered QPS × traffic shape × policy × replicas → [`ServeReport`],
 //!   now with goodput-under-SLO and shed counts) and the saturation-anchor
@@ -40,7 +42,7 @@
 //! ```no_run
 //! use centaur::{CentaurConfig, CentaurRuntime};
 //! use centaur_dlrm::{DlrmModel, PaperModel};
-//! use centaur_serve::{generate_requests, serve_replay, BatchPolicy};
+//! use centaur_serve::{generate_requests, serve_replay_with, BatchPolicy, ServeOptions};
 //! use centaur_workload::{ArrivalProcess, IndexDistribution, QueryStream};
 //!
 //! let config = PaperModel::Dlrm1.config().with_rows_per_table(4096);
@@ -48,7 +50,9 @@
 //! let requests = generate_requests(&config, IndexDistribution::Uniform, 1, 1000);
 //! let stream = QueryStream::generate(ArrivalProcess::Poisson { rate_qps: 50_000.0 }, 1000, 2);
 //! let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
-//! let outcome = serve_replay(pool, &requests, &stream, BatchPolicy::dynamic_wave()).unwrap();
+//! let policy = BatchPolicy::dynamic_wave();
+//! let outcome =
+//!     serve_replay_with(pool, &requests, &stream, policy, ServeOptions::default()).unwrap();
 //! println!(
 //!     "p99 {:.2} ms at {:.0} qps",
 //!     outcome.latency_summary().unwrap().p99_s * 1e3,
@@ -83,9 +87,8 @@ pub use env::{
 };
 pub use fault::{FaultEvent, FaultGuard, FaultKind, FaultPlan, FaultSpec};
 pub use harness::{
-    calibrate_fifo_capacity_qps, generate_requests, run_serve_cell, serve_replay,
-    serve_replay_faulted, serve_replay_with, Completion, HedgeConfig, ServeCell, ServeOptions,
-    ServeOutcome, ServeReport,
+    calibrate_fifo_capacity_qps, generate_requests, run_serve_cell, serve_replay_faulted,
+    serve_replay_with, Completion, HedgeConfig, ServeCell, ServeOptions, ServeOutcome, ServeReport,
 };
 pub use mix::{run_mix_cell, MixServer, PoolMode, TenantSpec};
 pub use policy::{relative_sample_cost, scaled_service_estimate, BatchPolicy};

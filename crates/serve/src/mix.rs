@@ -35,22 +35,15 @@
 //! harm being measured, so sheds count against mix availability.
 
 use crate::fault::{FaultPlan, FaultSpec};
-use crate::harness::{
-    generate_requests, guard_worker, replay_arrivals, worker_loop, ServeOptions, ServeOutcome,
-    ServeReport, WorkerResult,
-};
+use crate::harness::{generate_requests, run_pool, ServeOptions, ServeOutcome, ServeReport};
 use crate::policy::BatchPolicy;
-use crate::queue::{ArrivalQueue, DequeueOrder, QueuedRequest};
+use crate::queue::{DequeueOrder, QueuedRequest};
 use crate::server::BatchServer;
 use crate::stage::ReplicaStage;
-use crate::supervisor::{
-    supervise_replica, HealthBoard, InFlightSlot, Supervision, SupervisorShared,
-};
+use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
-use centaur_dlrm::{DlrmModel, InferenceRequest, RejectReason, RejectedRequest};
+use centaur_dlrm::{DlrmModel, InferenceRequest, RejectReason};
 use centaur_workload::{IndexDistribution, ModelMix, QueryStream, TenantTraffic};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// One tenant of a multi-tenant serving mix: its model, traffic slice, SLO
@@ -170,6 +163,7 @@ impl PoolMode {
 /// request in a popped batch to its tenant's engine, scattering the
 /// probabilities back into batch order. Steady state allocates nothing once
 /// the per-tenant scratch buffers reach their high-water marks.
+#[derive(Clone)]
 pub struct MixServer<'a> {
     requests: &'a [InferenceRequest],
     tenant_of: &'a [usize],
@@ -180,6 +174,7 @@ pub struct MixServer<'a> {
     staged: Vec<&'a InferenceRequest>,
 }
 
+#[derive(Clone)]
 struct TenantEngine {
     runtime: CentaurRuntime,
     stage: ReplicaStage,
@@ -395,7 +390,7 @@ fn run_tenant_pool(
         tenant,
         PoolMode::Isolated,
         rate_qps,
-        tenant.policy().label(),
+        tenant.policy(),
         tenant.replicas,
         plan.label(),
         queries,
@@ -490,52 +485,14 @@ fn run_shared(
         }
     }
 
-    let queue = ArrivalQueue::with_config(options.admission());
-    queue.reserve_shed(merged.len());
-    let slo_s = shared_slo.as_secs_f64();
-    let abort = AtomicBool::new(false);
-    let mut outcome = match supervision {
-        None => shared_unsupervised(
-            replica_engines,
-            &merged,
-            &tenant_of,
-            &streams,
-            &offsets,
-            policy,
-            &queue,
-            slo_s,
-            &abort,
-            &plan,
-        )?,
-        Some(supervision) => shared_supervised(
-            replica_engines,
-            &merged,
-            &tenant_of,
-            &streams,
-            &offsets,
-            policy,
-            &queue,
-            slo_s,
-            &abort,
-            &plan,
-            supervision,
-        ),
-    };
-    outcome.failed = queue.failed();
-    outcome.retries = queue.retries();
-    outcome.shed_admission = queue.shed_admission();
-    outcome.shed_expired = queue.shed_expired();
-    outcome.rejections = queue
-        .take_shed()
+    let servers = replica_engines
         .into_iter()
-        .map(|(shed, reason)| RejectedRequest {
-            id: merged[shed.index].id,
-            reason,
-            retries: shed.retries,
-        })
+        .map(|engines| MixServer::new(engines, &merged, &tenant_of, policy.max_batch()))
         .collect();
+    let generators: Vec<(&QueryStream, usize)> = streams.iter().zip(offsets).collect();
+    let outcome = run_pool(servers, &merged, &generators, policy, options, &plan)?;
 
-    let split = split_by_tenant(&outcome, &tenant_of, tenants);
+    let split = split_by_tenant(outcome, &tenant_of, tenants);
     Ok(tenants
         .iter()
         .zip(split.iter())
@@ -545,7 +502,7 @@ fn run_shared(
                 tenant,
                 PoolMode::Shared,
                 tenant.traffic.rate_qps(total_qps),
-                policy.label(),
+                policy,
                 replicas,
                 plan.label(),
                 generated,
@@ -583,230 +540,47 @@ fn merge_faults(tenants: &[TenantSpec]) -> FaultSpec {
     merged
 }
 
-/// The shared pool's fail-stop path: mirrors the single-model harness but
-/// with [`MixServer`] replicas and one generator thread per tenant stream.
-#[allow(clippy::too_many_arguments)]
-fn shared_unsupervised(
-    mut replica_engines: Vec<Vec<CentaurRuntime>>,
-    merged: &[InferenceRequest],
-    tenant_of: &[usize],
-    streams: &[QueryStream],
-    offsets: &[usize],
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-) -> Result<ServeOutcome, CentaurError> {
-    let mut worker_results: Vec<WorkerResult> = Vec::new();
-    let generators = AtomicUsize::new(streams.len());
-    let slots: Vec<InFlightSlot> = (0..replica_engines.len())
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    // Align the deadline clock with the replay start (setup between queue
-    // construction and here must not eat into the schedule).
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let generators = &generators;
-        let slots = &slots;
-        let handles: Vec<_> = replica_engines
-            .drain(..)
-            .enumerate()
-            .map(|(index, engines)| {
-                let server = MixServer::new(engines, merged, tenant_of, policy.max_batch());
-                let guard = plan.guard_for(index);
-                scope.spawn(move || {
-                    guard_worker(queue, abort, move || {
-                        worker_loop(queue, server, policy, start, guard, &slots[index], index)
-                    })
-                })
-            })
-            .collect();
-        for (stream, &offset) in streams.iter().zip(offsets) {
-            scope.spawn(move || {
-                replay_arrivals(queue, stream, slo_s, abort, start, offset, generators);
-            });
-        }
-        worker_results = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect();
-    });
-    let mut outcome = empty_outcome(merged.len(), slo_s);
-    let mut failure: Option<CentaurError> = None;
-    for result in worker_results {
-        match result {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Ok((completions, batches))) => {
-                outcome.completions.extend(completions);
-                outcome.batches += batches;
-            }
-            Ok(Err(error)) => failure = failure.or(Some(error)),
-        }
-    }
-    if let Some(error) = failure {
-        return Err(error);
-    }
-    Ok(outcome)
-}
-
-/// The shared pool's supervised path: mirrors the single-model supervised
-/// harness with [`MixServer`] replicas respawned from per-tenant template
-/// shards, and one generator thread per tenant stream.
-#[allow(clippy::too_many_arguments)]
-fn shared_supervised<'a>(
-    mut replica_engines: Vec<Vec<CentaurRuntime>>,
-    merged: &'a [InferenceRequest],
-    tenant_of: &'a [usize],
-    streams: &[QueryStream],
-    offsets: &[usize],
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-    supervision: Supervision,
-) -> ServeOutcome {
-    let pool_size = replica_engines.len();
-    let shared = SupervisorShared::new(pool_size, merged.len());
-    let slots: Vec<InFlightSlot> = (0..pool_size)
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    // The mix sweeps measure cross-tenant isolation, not tail tolerance: a
-    // disabled board keeps every replica permanently healthy.
-    let health = HealthBoard::disabled(pool_size);
-    // Restarts boot from fresh shard clones, never from state a panic
-    // unwound through.
-    let template = Mutex::new(replica_engines[0].clone());
-    let max_batch = policy.max_batch();
-    let respawn = {
-        let template = &template;
-        move || {
-            MixServer::new(
-                template.lock().expect("template poisoned").clone(),
-                merged,
-                tenant_of,
-                max_batch,
-            )
-        }
-    };
-    let generators = AtomicUsize::new(streams.len());
-    // The MixServer template clone above scales with the merged model set
-    // (hundreds of milliseconds at 64K rows/table) and ran *after* the
-    // queue captured its construction-time clock; restart the deadline
-    // clock so the replay schedule starts now, not at queue construction.
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let shared = &shared;
-        let generators = &generators;
-        let slots = &slots;
-        let health = &health;
-        let respawn: &(dyn Fn() -> MixServer<'a> + Sync) = &respawn;
-        for (index, engines) in replica_engines.drain(..).enumerate() {
-            let guard = plan.guard_for(index);
-            let server = MixServer::new(engines, merged, tenant_of, max_batch);
-            scope.spawn(move || {
-                supervise_replica(
-                    queue,
-                    server,
-                    respawn,
-                    policy,
-                    start,
-                    supervision,
-                    guard,
-                    &slots[index],
-                    health,
-                    shared,
-                    abort,
-                    index,
-                );
-            });
-        }
-        for (stream, &offset) in streams.iter().zip(offsets) {
-            scope.spawn(move || {
-                replay_arrivals(queue, stream, slo_s, abort, start, offset, generators);
-            });
-        }
-    });
-    if queue.is_aborted() {
-        // Unrecoverable: every replica died. Re-raise the first crash.
-        let payload = shared
-            .payload
-            .lock()
-            .expect("payload slot poisoned")
-            .take()
-            .unwrap_or_else(|| Box::new("shared mix run aborted without a payload"));
-        std::panic::resume_unwind(payload);
-    }
-    let live = shared.live.load(Ordering::Acquire);
-    let completions =
-        std::mem::take(&mut *shared.completions.lock().expect("completions poisoned"));
-    let mut outcome = empty_outcome(merged.len(), slo_s);
-    outcome.completions = completions;
-    outcome.batches = shared.batches.load(Ordering::Relaxed);
-    outcome.restarts = shared.restarts.load(Ordering::Relaxed);
-    outcome.replicas_lost = pool_size - live;
-    outcome
-}
-
-fn empty_outcome(capacity: usize, slo_s: f64) -> ServeOutcome {
-    ServeOutcome {
-        completions: Vec::with_capacity(capacity),
-        batches: 0,
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: 0,
-        replicas_lost: 0,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: 0,
-        readmissions: 0,
-        rejections: Vec::new(),
-    }
-}
-
 /// Splits a shared pool's outcome into per-tenant outcomes by mapping every
 /// completion and rejection id back through `tenant_of`. Per-tenant rows
 /// are judged against the tenant's **own** SLO (the pool only enforced the
 /// shared one); pool-level counters that cannot be attributed to one tenant
-/// (batches, retries, restarts, replicas lost) are carried on every row.
+/// (batches, retries, restarts, replicas lost, …) are carried on every row.
 fn split_by_tenant(
-    outcome: &ServeOutcome,
+    outcome: ServeOutcome,
     tenant_of: &[usize],
     tenants: &[TenantSpec],
 ) -> Vec<ServeOutcome> {
-    let mut split: Vec<ServeOutcome> = tenants
+    let (completions, rejections) = (outcome.completions, outcome.rejections);
+    let pool = ServeOutcome {
+        completions: Vec::new(),
+        rejections: Vec::new(),
+        ..outcome
+    };
+    tenants
         .iter()
-        .map(|tenant| {
-            let mut empty = empty_outcome(0, tenant.slo.as_secs_f64());
-            empty.batches = outcome.batches;
-            empty.retries = outcome.retries;
-            empty.restarts = outcome.restarts;
-            empty.replicas_lost = outcome.replicas_lost;
-            empty
+        .enumerate()
+        .map(|(index, tenant)| {
+            let rejections: Vec<_> = rejections
+                .iter()
+                .filter(|r| tenant_of[r.id as usize] == index)
+                .copied()
+                .collect();
+            let count = |reason| rejections.iter().filter(|r| r.reason == reason).count();
+            ServeOutcome {
+                completions: completions
+                    .iter()
+                    .filter(|c| tenant_of[c.id as usize] == index)
+                    .copied()
+                    .collect(),
+                slo_s: tenant.slo.as_secs_f64(),
+                shed_admission: count(RejectReason::QueueFull),
+                shed_expired: count(RejectReason::DeadlineExpired),
+                failed: count(RejectReason::Failed),
+                rejections,
+                ..pool.clone()
+            }
         })
-        .collect();
-    for completion in &outcome.completions {
-        split[tenant_of[completion.id as usize]]
-            .completions
-            .push(*completion);
-    }
-    for rejection in &outcome.rejections {
-        let tenant = &mut split[tenant_of[rejection.id as usize]];
-        tenant.rejections.push(*rejection);
-        match rejection.reason {
-            RejectReason::QueueFull => tenant.shed_admission += 1,
-            RejectReason::DeadlineExpired => tenant.shed_expired += 1,
-            RejectReason::Failed => tenant.failed += 1,
-        }
-    }
-    split
+        .collect()
 }
 
 /// One tenant's report row, with the per-tenant isolation invariant
@@ -817,7 +591,7 @@ fn tenant_report(
     tenant: &TenantSpec,
     mode: PoolMode,
     offered_qps: f64,
-    policy_label: String,
+    policy: BatchPolicy,
     replicas: usize,
     faults_label: String,
     generated: usize,
@@ -831,42 +605,24 @@ fn tenant_report(
         tenant.name,
         mode.label(),
     );
-    // Answered availability: what fraction of this tenant's generated
-    // traffic got an answer (see the module docs for why sheds count here).
-    let availability = if generated == 0 {
-        1.0
-    } else {
-        outcome.completions.len() as f64 / generated as f64
-    };
     ServeReport {
         tenant: tenant.name.clone(),
         pool: mode.label().to_string(),
-        offered_qps,
-        traffic: tenant.traffic.shape.label().to_string(),
-        policy: policy_label,
-        replicas,
-        slo_ms: Some(tenant.slo.as_secs_f64() * 1e3),
-        completed: outcome.completions.len(),
-        batches: outcome.batches,
-        mean_batch: outcome.mean_batch(),
-        achieved_qps: outcome.achieved_qps(),
-        goodput_qps: outcome.goodput_qps(),
-        shed: outcome.shed(),
-        shed_admission: outcome.shed_admission,
-        shed_expired: outcome.shed_expired,
-        deadline_misses: outcome.deadline_misses(),
-        faults: faults_label,
-        failed: outcome.failed,
-        availability,
-        restarts: outcome.restarts,
-        retries: outcome.retries,
-        replicas_lost: outcome.replicas_lost,
-        hedges: outcome.hedges,
-        hedge_wins: outcome.hedge_wins,
-        duplicates_suppressed: outcome.duplicates_suppressed,
-        quarantines: outcome.quarantines,
-        readmissions: outcome.readmissions,
-        latency: outcome.latency_summary().unwrap_or_default(),
+        // Answered availability: what fraction of this tenant's generated
+        // traffic got an answer (see the module docs for why sheds count).
+        availability: if generated == 0 {
+            1.0
+        } else {
+            outcome.completions.len() as f64 / generated as f64
+        },
+        ..ServeReport::from_outcome(
+            outcome,
+            offered_qps,
+            tenant.traffic.shape,
+            policy,
+            replicas,
+            faults_label,
+        )
     }
 }
 

@@ -39,6 +39,7 @@ pub trait BatchServer {
 /// The single-model backend: one runtime shard, one staging buffer, one
 /// request set. Steady state allocates nothing once the staging buffers
 /// reach their high-water marks.
+#[derive(Clone)]
 pub struct SoloServer<'a> {
     runtime: CentaurRuntime,
     stage: ReplicaStage,

@@ -1,10 +1,11 @@
 //! The replica supervisor: crash-tolerant serving on top of the arrival
 //! queue's in-flight accounting.
 //!
-//! Pre-supervision, any replica-worker panic or datapath error aborted the
-//! whole replay (`guard_worker` flips the abort flag and closes the queue).
-//! Supervision replaces that all-or-nothing contract with the production
-//! one — node loss is routine, the pool degrades gracefully:
+//! Every pool runs the same worker loop. Without supervision the pool is
+//! fail-stop: it has no budgets, and the first replica panic or datapath
+//! error aborts the whole replay. Supervision replaces that all-or-nothing
+//! contract with the production one — node loss is routine, the pool
+//! degrades gracefully:
 //!
 //! * every batch a worker holds is **published** to an [`InFlightSlot`]
 //!   before it runs, so when the worker panics the supervisor recovers the
@@ -19,7 +20,7 @@
 //!   admission/deadline machinery;
 //! * only unrecoverable states abort: when the **last** live replica dies,
 //!   the run aborts with the *first* crash's original panic payload
-//!   preserved, exactly like the unsupervised path.
+//!   preserved, exactly like the fail-stop path.
 //!
 //! The accounting invariant this module exists to uphold: every request the
 //! queue ever accepted ends in exactly one of completed / shed / failed.
@@ -29,6 +30,7 @@ use crate::harness::Completion;
 use crate::policy::BatchPolicy;
 use crate::queue::{ArrivalQueue, QueuedRequest};
 use crate::server::BatchServer;
+use centaur::CentaurError;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,10 +40,6 @@ use std::time::{Duration, Instant};
 /// How often a quarantined worker re-checks its re-admission probe (and
 /// whether the replay is still running).
 const QUARANTINE_PROBE_TICK: Duration = Duration::from_micros(500);
-
-/// EWMA smoothing factor for per-replica batch service time: each new
-/// observation carries this weight.
-const SERVICE_EWMA_ALPHA: f64 = 0.2;
 
 /// Clean batches a replica on probation must serve to return to
 /// [`ReplicaHealth::Healthy`].
@@ -219,8 +217,6 @@ pub enum ReplicaHealth {
 #[derive(Debug)]
 struct HealthState {
     state: ReplicaHealth,
-    /// EWMA of batch service time (seconds); `0.0` until the first batch.
-    ewma_service_s: f64,
     strikes: u32,
     clean: u32,
     quarantined_until_s: f64,
@@ -229,8 +225,8 @@ struct HealthState {
     readmissions: usize,
 }
 
-/// Pool-wide replica health scoring: per-replica EWMA of batch service
-/// time plus overdue/transient strike counts feed a
+/// Pool-wide replica health scoring: per-replica strike counts (overdue
+/// dispatches, transients, over-timeout services) feed a
 /// [`ReplicaHealth`] state machine (Healthy → Probation → Quarantined).
 /// Workers consult [`may_pull`](Self::may_pull) before taking work;
 /// quarantined replicas re-admit via exponential-backoff probes. All state
@@ -255,7 +251,6 @@ impl HealthBoard {
                 .map(|_| {
                     Mutex::new(HealthState {
                         state: ReplicaHealth::Healthy,
-                        ewma_service_s: 0.0,
                         strikes: 0,
                         clean: 0,
                         quarantined_until_s: 0.0,
@@ -277,18 +272,12 @@ impl HealthBoard {
         HealthBoard::new(replicas, f64::INFINITY, u32::MAX, Duration::from_secs(1))
     }
 
-    /// Records one served batch: updates the service-time EWMA, counts a
-    /// strike when service exceeded the timeout, and otherwise credits a
-    /// clean batch (probation works back to healthy after
-    /// [`PROBATION_CLEAN_BATCHES`] of them; healthy replicas decay one
-    /// strike per clean batch).
+    /// Records one served batch: counts a strike when service exceeded the
+    /// timeout, and otherwise credits a clean batch (probation works back to
+    /// healthy after [`PROBATION_CLEAN_BATCHES`] of them; healthy replicas
+    /// decay one strike per clean batch).
     pub fn record_service(&self, replica: usize, service_s: f64, now_s: f64) {
         let mut s = self.replicas[replica].lock().expect("health poisoned");
-        s.ewma_service_s = if s.ewma_service_s == 0.0 {
-            service_s
-        } else {
-            SERVICE_EWMA_ALPHA * service_s + (1.0 - SERVICE_EWMA_ALPHA) * s.ewma_service_s
-        };
         if service_s > self.timeout_s {
             self.strike(&mut s, now_s);
             return;
@@ -366,15 +355,6 @@ impl HealthBoard {
             .state
     }
 
-    /// The replica's batch-service-time EWMA in seconds (`0.0` before its
-    /// first batch).
-    pub fn ewma_service_s(&self, replica: usize) -> f64 {
-        self.replicas[replica]
-            .lock()
-            .expect("health poisoned")
-            .ewma_service_s
-    }
-
     /// Quarantine entries across the pool so far.
     pub fn quarantines(&self) -> usize {
         self.replicas
@@ -392,8 +372,10 @@ impl HealthBoard {
     }
 }
 
-/// State shared between the harness and every supervised replica: recorded
-/// completions, pool-wide budgets and the first crash's preserved payload.
+/// The pool state shared by the runner, every replica worker, the watchdog
+/// and the generators: recorded completions, pool-wide budgets, the abort
+/// flag and the first failure of each kind. The runner assembles the
+/// run's outcome from it, or re-raises the abort's cause.
 pub(crate) struct SupervisorShared {
     /// Completions from every replica (pre-reserved to the request count so
     /// the recording path never allocates).
@@ -405,8 +387,15 @@ pub(crate) struct SupervisorShared {
     /// Replicas still alive (dead = crashed beyond the restart budget).
     pub live: AtomicUsize,
     /// The first crash's original panic payload, preserved for
-    /// `resume_unwind` should the run become unrecoverable.
+    /// `resume_unwind` should the run abort.
     pub payload: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Fail-stop only: the first stalled replica's diagnostic.
+    pub stall: Mutex<Option<CentaurError>>,
+    /// Fail-stop only: the first datapath error (injected transients
+    /// included).
+    pub error: Mutex<Option<CentaurError>>,
+    /// Set once the run aborts; the generators poll it between arrivals.
+    pub abort: AtomicBool,
 }
 
 impl SupervisorShared {
@@ -417,6 +406,9 @@ impl SupervisorShared {
             restarts: AtomicUsize::new(0),
             live: AtomicUsize::new(replicas),
             payload: Mutex::new(None),
+            stall: Mutex::new(None),
+            error: Mutex::new(None),
+            abort: AtomicBool::new(false),
         }
     }
 
@@ -449,15 +441,88 @@ impl SupervisorShared {
         drop(slot);
         self.live.fetch_sub(1, Ordering::AcqRel) == 1
     }
+
+    /// Aborts the run: flips the flag the generators poll and abort-closes
+    /// the queue, so waiting workers return without draining and nobody is
+    /// left waiting on a dead worker's in-flight batch.
+    pub fn abort(&self, queue: &ArrivalQueue) {
+        self.abort.store(true, Ordering::Relaxed);
+        queue.close_abort();
+    }
+
+    /// Keeps `cause` in `slot` unless an earlier cause is already there,
+    /// then aborts the run — the fail-stop answer to a datapath error or a
+    /// stall.
+    fn abort_with(
+        &self,
+        queue: &ArrivalQueue,
+        slot: &Mutex<Option<CentaurError>>,
+        cause: CentaurError,
+    ) {
+        slot.lock()
+            .expect("failure slot poisoned")
+            .get_or_insert(cause);
+        self.abort(queue);
+    }
+
+    /// Records one served batch's completions, answered at `completed_s`, into
+    /// the shared log (pre-reserved — no allocation) and counts the dispatch.
+    /// `primary` is the mask [`ArrivalQueue::complete_batch`] produced:
+    /// suppressed duplicates are discarded here, never recorded twice.
+    fn record<S: BatchServer>(
+        &self,
+        server: &S,
+        batch: &[QueuedRequest],
+        probabilities: &[f32],
+        primary: &[bool],
+        completed_s: f64,
+    ) {
+        let mut completions = self.completions.lock().expect("completions poisoned");
+        for ((queued, &probability), &keep) in batch.iter().zip(probabilities).zip(primary) {
+            if !keep {
+                continue;
+            }
+            completions.push(Completion {
+                id: server.request_id(queued.index),
+                arrival_s: queued.arrival_s,
+                completed_s,
+                probability,
+            });
+        }
+        drop(completions);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The cause of an aborted run, in precedence order: a crash's panic
+    /// payload is re-raised; otherwise a stall diagnostic outranks the
+    /// secondary errors it caused downstream, and the first datapath error
+    /// comes last.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the preserved panic payload.
+    pub fn abort_cause(&self) -> CentaurError {
+        let payload = self.payload.lock().expect("payload slot poisoned").take();
+        if let Some(payload) = payload {
+            std::panic::resume_unwind(payload);
+        }
+        let stall = self.stall.lock().expect("failure slot poisoned").take();
+        let error = self.error.lock().expect("failure slot poisoned").take();
+        match stall.or(error) {
+            Some(cause) => cause,
+            None => std::panic::resume_unwind(Box::new("serving run aborted without a cause")),
+        }
+    }
 }
 
-/// One supervised replica: runs [`supervised_worker_loop`] under a panic
-/// guard, and on a crash recovers the in-flight batch (requeue against the
-/// retry budget), then restarts the replica with a fresh `respawn()`-built
-/// backend while the pool-wide restart budget lasts. A replica beyond the
-/// budget stays dead; the death of the *last* replica flips the abort flag
-/// and abandons the queue so the harness can re-raise the preserved panic
-/// payload.
+/// One replica worker: runs [`replica_loop`] under a panic guard.
+/// Under `supervision`, a crash recovers the in-flight batch (requeued
+/// against the retry budget), then restarts the replica with a fresh
+/// `respawn()`-built backend while the pool-wide restart budget lasts; a
+/// replica beyond the budget stays dead, and the death of the *last*
+/// replica aborts the run. A fail-stop replica (`None`: no budgets) aborts
+/// the run on its first crash, survivors included. Either way the first
+/// payload is preserved for the runner to re-raise.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn supervise_replica<S: BatchServer>(
     queue: &ArrivalQueue,
@@ -465,22 +530,21 @@ pub(crate) fn supervise_replica<S: BatchServer>(
     respawn: &(dyn Fn() -> S + Sync),
     policy: BatchPolicy,
     start: Instant,
-    supervision: Supervision,
+    supervision: Option<Supervision>,
     mut guard: FaultGuard,
     inflight: &InFlightSlot,
     health: &HealthBoard,
     shared: &SupervisorShared,
-    abort: &AtomicBool,
     replica: usize,
 ) {
     loop {
         let crashed = catch_unwind(AssertUnwindSafe(|| {
-            supervised_worker_loop(
+            replica_loop(
                 queue,
                 &mut server,
                 policy,
                 start,
-                supervision.retry_limit,
+                supervision.map(|s| s.retry_limit),
                 &mut guard,
                 inflight,
                 health,
@@ -492,47 +556,51 @@ pub(crate) fn supervise_replica<S: BatchServer>(
             Ok(()) => return, // queue drained (or aborted); clean exit
             Err(payload) => payload,
         };
-        // Crash recovery: the published batch went down with the worker —
-        // requeue it (original arrival stamps) against the retry budget.
-        let (riders, hedged) = inflight.recover();
-        for request in riders {
-            requeue_or_fail(queue, request, supervision.retry_limit, hedged);
+        if let Some(supervision) = supervision {
+            // Crash recovery: the published batch went down with the
+            // worker — requeue it (original arrival stamps) against the
+            // retry budget.
+            let (riders, hedged) = inflight.recover();
+            for request in riders {
+                requeue_or_fail(queue, request, supervision.retry_limit, hedged);
+            }
+            if shared.try_consume_restart(supervision.restart_budget) {
+                // Fresh backend (shard clone + staging buffers): never
+                // reuse state a panic unwound through.
+                server = respawn();
+                continue;
+            }
         }
-        if shared.try_consume_restart(supervision.restart_budget) {
-            // Fresh backend (shard clone + staging buffers): never reuse
-            // state a panic unwound through.
-            server = respawn();
-            continue;
-        }
-        // Beyond the restart budget: this replica stays dead. Survivors
-        // absorb the load; only the last death is unrecoverable.
-        if shared.replica_died(payload) {
-            abort.store(true, Ordering::Relaxed);
-            queue.close_abort();
+        // Fail-stop, or beyond the restart budget: this replica stays dead.
+        // A supervised pool's survivors absorb the load, and only the last
+        // death is unrecoverable; a fail-stop pool aborts on the first.
+        if shared.replica_died(payload) || supervision.is_none() {
+            shared.abort(queue);
         }
         return;
     }
 }
 
-/// One supervised replica's serving loop. Differences from the unsupervised
-/// loop: the replica's health gates every pull (quarantined replicas park
-/// on backoff probes instead of taking work), every batch is published
-/// in-flight — dispatch-stamped for the watchdog — before anything can
-/// fail, the fault guard is polled once per batch (crash events panic
-/// here, inside the supervisor's catch), injected transients and real
-/// datapath errors strike the replica's health and requeue work against
-/// the retry budget instead of killing the run, and a failing batch is
-/// re-served request-by-request so one poison request cannot burn its
-/// co-riders' budgets. Completions resolve through
-/// [`ArrivalQueue::complete_batch`] so a hedged sibling's result is
-/// counted once and a straggler's duplicate answer is discarded.
+/// One replica's serving loop: the replica's health gates every pull
+/// (quarantined replicas park on backoff probes instead of taking work),
+/// every batch is published in-flight — dispatch-stamped for the watchdog —
+/// before anything can fail, and the fault guard is polled once per batch
+/// (crash events panic here, inside the supervisor's catch). Completions
+/// resolve through [`ArrivalQueue::complete_batch`] so a hedged sibling's
+/// result is counted once and a straggler's duplicate answer is discarded.
+///
+/// With a `retry_limit`, injected transients and real datapath errors
+/// strike the replica's health and requeue work against the retry budget
+/// instead of killing the run, and a failing batch is re-served
+/// request-by-request so one poison request cannot burn its co-riders'
+/// budgets. Without one (fail-stop), the first such error aborts the run.
 #[allow(clippy::too_many_arguments)]
-fn supervised_worker_loop<S: BatchServer>(
+fn replica_loop<S: BatchServer>(
     queue: &ArrivalQueue,
     server: &mut S,
     policy: BatchPolicy,
     start: Instant,
-    retry_limit: u32,
+    retry_limit: Option<u32>,
     guard: &mut FaultGuard,
     inflight: &InFlightSlot,
     health: &HealthBoard,
@@ -556,106 +624,78 @@ fn supervised_worker_loop<S: BatchServer>(
         }
         let dispatched_s = start.elapsed().as_secs_f64();
         inflight.publish(&batch, dispatched_s);
-        if guard.intercept(replica, dispatched_s).is_err() {
-            // Injected transient: the whole batch's attempt failed, the
-            // replica survives — struck, not crashed. Retry or fail each
-            // rider.
-            health.record_transient(replica, start.elapsed().as_secs_f64());
-            let hedged = inflight.clear();
+        let (error, injected) = match guard.intercept(replica, dispatched_s) {
+            Err(error) => (error, true),
+            Ok(()) => match server.serve_batch(&batch, &mut probabilities) {
+                Err(error) => (error, false),
+                Ok(()) => {
+                    let served_s = start.elapsed().as_secs_f64();
+                    guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
+                    let hedged = inflight.clear();
+                    let completed_s = start.elapsed().as_secs_f64();
+                    queue.complete_batch(&batch, hedged, &mut primary);
+                    shared.record(&*server, &batch, &probabilities, &primary, completed_s);
+                    health.record_service(replica, completed_s - dispatched_s, completed_s);
+                    continue;
+                }
+            },
+        };
+        // The attempt failed without a crash.
+        let hedged = inflight.clear();
+        let Some(retry_limit) = retry_limit else {
+            shared.abort_with(queue, &shared.error, error);
+            return;
+        };
+        health.record_transient(replica, start.elapsed().as_secs_f64());
+        if injected || batch.len() == 1 {
+            // An injected transient failed the whole attempt (or the batch
+            // is one request): retry or fail each rider.
             for &request in &batch {
                 requeue_or_fail(queue, request, retry_limit, hedged);
             }
             continue;
         }
-        match server.serve_batch(&batch, &mut probabilities) {
-            Ok(()) => {
-                let served_s = start.elapsed().as_secs_f64();
-                guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
-                let hedged = inflight.clear();
-                queue.complete_batch(&batch, hedged, &mut primary);
-                record(shared, &*server, &batch, &probabilities, &primary, start);
-                health.record_service(
-                    replica,
-                    start.elapsed().as_secs_f64() - dispatched_s,
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            Err(_) if batch.len() == 1 => {
-                health.record_transient(replica, start.elapsed().as_secs_f64());
-                let hedged = inflight.clear();
-                requeue_or_fail(queue, batch[0], retry_limit, hedged);
-            }
-            Err(_) => {
-                // Poison isolation: one bad request failed the whole batch.
-                // Re-serve request-by-request so the innocent co-riders
-                // complete now and only the poison burns its retry budget.
-                health.record_transient(replica, start.elapsed().as_secs_f64());
-                let hedged = inflight.clear();
-                for i in 0..batch.len() {
-                    let request = batch[i];
-                    match server.serve_batch(&batch[i..=i], &mut probabilities) {
-                        Ok(()) => {
-                            queue.complete_batch(&batch[i..=i], hedged, &mut primary);
-                            record(
-                                shared,
-                                &*server,
-                                &batch[i..=i],
-                                &probabilities,
-                                &primary,
-                                start,
-                            );
-                        }
-                        Err(_) => requeue_or_fail(queue, request, retry_limit, hedged),
-                    }
+        // Poison isolation: one bad request failed the whole batch.
+        // Re-serve request-by-request so the innocent co-riders complete
+        // now and only the poison burns its retry budget.
+        for &request in &batch {
+            let single = std::slice::from_ref(&request);
+            match server.serve_batch(single, &mut probabilities) {
+                Ok(()) => {
+                    let completed_s = start.elapsed().as_secs_f64();
+                    queue.complete_batch(single, hedged, &mut primary);
+                    shared.record(&*server, single, &probabilities, &primary, completed_s);
                 }
+                Err(_) => requeue_or_fail(queue, request, retry_limit, hedged),
             }
         }
     }
 }
 
-/// Records one served batch's completions into the shared log (pre-reserved
-/// — no allocation) and counts the dispatch. `primary` is the mask
-/// [`ArrivalQueue::complete_batch`] produced: suppressed duplicates are
-/// discarded here, never recorded twice.
-fn record<S: BatchServer>(
-    shared: &SupervisorShared,
-    server: &S,
-    batch: &[QueuedRequest],
-    probabilities: &[f32],
-    primary: &[bool],
-    start: Instant,
-) {
-    let completed_s = start.elapsed().as_secs_f64();
-    let mut completions = shared.completions.lock().expect("completions poisoned");
-    for ((queued, &probability), &keep) in batch.iter().zip(probabilities).zip(primary) {
-        if !keep {
-            continue;
-        }
-        completions.push(Completion {
-            id: server.request_id(queued.index),
-            arrival_s: queued.arrival_s,
-            completed_s,
-            probability,
-        });
-    }
-    drop(completions);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
+/// What the watchdog does about a dispatch held past its timeout.
+#[derive(Clone, Copy)]
+pub(crate) enum Overdue<'a> {
+    /// Supervised pools: strike the straggler's health and, once per
+    /// dispatch, clone its riders back into the queue so a healthy sibling
+    /// races the stall.
+    Hedge(&'a HealthBoard),
+    /// Fail-stop pools: record a [`CentaurError::ReplicaStalled`]
+    /// diagnostic naming the straggler and abort the run — a prompt error,
+    /// not a hang until the generator closes the queue. The stalled worker
+    /// is left to wake and observe the abort.
+    Abort(&'a SupervisorShared),
 }
 
 /// The stall watchdog: polls every replica's [`InFlightSlot`] on a tick a
-/// quarter of the hedge timeout and, when a published batch's age crosses
-/// the timeout, strikes the straggler's health and — once per dispatch,
-/// `hedge` permitting — clones the overdue riders back into the queue so a
-/// healthy sibling races the stall. Ages are measured per *dispatch*
-/// (escalating multiples of the timeout), so one long stall strikes
-/// repeatedly while a busy-but-healthy replica is left alone. All
-/// bookkeeping is preallocated before the loop: a fault-free replay runs
-/// this monitor allocation-free.
+/// quarter of the timeout and acts per `action` when a published batch's
+/// age crosses `timeout_s`. Ages are measured per *dispatch* (escalating
+/// multiples of the timeout), so one long stall strikes repeatedly while a
+/// busy-but-healthy replica is left alone. All bookkeeping is preallocated
+/// before the loop: a fault-free replay runs this monitor allocation-free.
 pub(crate) fn watchdog_monitor(
     queue: &ArrivalQueue,
     slots: &[InFlightSlot],
-    health: &HealthBoard,
-    hedge: bool,
+    action: Overdue<'_>,
     timeout_s: f64,
     max_batch: usize,
     start: Instant,
@@ -681,10 +721,20 @@ pub(crate) fn watchdog_monitor(
                 continue;
             }
             book[replica].1 = strikes + 1;
-            health.record_overdue(replica, now_s);
-            if hedge && !hedged && slot.overdue_riders(now_s, timeout_s, &mut riders) {
-                for &rider in riders.iter() {
-                    queue.hedge(rider);
+            match action {
+                Overdue::Abort(shared) => {
+                    let held_ms = ((now_s - dispatched_s) * 1e3) as u64;
+                    let stall = CentaurError::ReplicaStalled { replica, held_ms };
+                    shared.abort_with(queue, &shared.stall, stall);
+                    return;
+                }
+                Overdue::Hedge(health) => {
+                    health.record_overdue(replica, now_s);
+                    if !hedged && slot.overdue_riders(now_s, timeout_s, &mut riders) {
+                        for &rider in riders.iter() {
+                            queue.hedge(rider);
+                        }
+                    }
                 }
             }
         }
@@ -810,7 +860,6 @@ mod tests {
         board.record_service(0, 0.002, 0.141);
         board.record_service(0, 0.002, 0.142);
         assert_eq!(board.health(0), ReplicaHealth::Healthy);
-        assert!(board.ewma_service_s(0) > 0.0);
         // The sibling replica was never touched.
         assert_eq!(board.health(1), ReplicaHealth::Healthy);
         assert_eq!(board.quarantines(), 2, "counts are per-pool sums");

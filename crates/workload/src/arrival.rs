@@ -7,10 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Inter-arrival behaviour of inference queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals at `rate_qps` queries per second (exponential
     /// inter-arrival times).
@@ -415,7 +414,7 @@ impl TrafficShape {
 
 /// A generated stream of query arrival timestamps (seconds from stream
 /// start).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryStream {
     arrivals_s: Vec<f64>,
 }
@@ -511,7 +510,7 @@ impl QueryStream {
 /// seconds: the helper serving experiments use to turn raw recorded
 /// latencies into the p50/p95/p99 numbers the paper-adjacent serving
 /// studies (RecNMP, MicroRec) report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of latencies summarized.
     pub count: usize,

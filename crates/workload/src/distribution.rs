@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How sparse indices are drawn from an embedding table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IndexDistribution {
     /// Every row is equally likely — the paper's worst-case (and default)
     /// locality assumption.

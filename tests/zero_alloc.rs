@@ -396,7 +396,7 @@ fn steady_state_inference_paths_do_not_allocate() {
     // batched inference, hedge-aware completion through `complete_batch`
     // (every result primary — no duplicates to suppress), recording
     // completions into a pre-reserved log, and scoring the replica's
-    // service EWMA. Supervision plus an armed watchdog must cost nothing on
+    // service time. Supervision plus an armed watchdog must cost nothing on
     // the heap when nothing is stalling — crash recovery and hedge races
     // may allocate, every healthy batch served must not.
     use centaur_serve::{Completion, FaultGuard, HealthBoard, InFlightSlot};
